@@ -31,6 +31,16 @@ fn main() {
         &rows,
     );
 
+    // shape assertions from the paper, checked before anything is
+    // written so a failing run leaves results/ as it was
+    let counts: Vec<u32> = runs.iter().map(|r| r.checkpoints).collect();
+    assert!(
+        counts.windows(2).all(|w| w[0] <= w[1]),
+        "checkpoint count must increase with the budget: {counts:?}"
+    );
+    assert!(counts[0] < *counts.last().unwrap());
+    assert!(counts.iter().all(|&c| c <= 50));
+
     // dump the series for external plotting
     if std::fs::create_dir_all("results").is_ok() {
         let mut csv = String::from("budget,checkpoints,observed_overhead,total_time_s\n");
@@ -46,15 +56,6 @@ fn main() {
         let _ = std::fs::write("results/fig3_sweep.csv", csv);
         println!("\n(series written to results/fig3_sweep.csv)");
     }
-
-    // shape assertions from the paper
-    let counts: Vec<u32> = runs.iter().map(|r| r.checkpoints).collect();
-    assert!(
-        counts.windows(2).all(|w| w[0] <= w[1]),
-        "checkpoint count must increase with the budget: {counts:?}"
-    );
-    assert!(counts[0] < *counts.last().unwrap());
-    assert!(counts.iter().all(|&c| c <= 50));
     println!(
         "\nshape check: monotone increasing, saturating at the 50-step maximum — matches Fig. 3"
     );

@@ -1,9 +1,10 @@
 //! The checkpoint manager: policy + filesystem + accounting.
 //!
 //! The manager sits where the paper's I/O middleware sits: the
-//! application reports the end of each timestep; the manager consults the
-//! policy and, when it fires, writes the checkpoint through the shared
-//! filesystem model, charging the observed write time to the run's I/O
+//! application reports the end of each timestep; the manager prices a
+//! write that would start now at the filesystem's current bandwidth,
+//! consults the policy and, when it fires, writes the checkpoint through
+//! the shared filesystem model, charging the observed write time to the run's I/O
 //! account — which in turn feeds back into the next decision. That
 //! feedback loop (slow filesystem → higher observed overhead → fewer
 //! checkpoints) is the mechanism behind Figs. 3 and 4.
@@ -103,6 +104,9 @@ impl<P: CheckpointPolicy> CheckpointManager<P> {
             io_time: self.accounting.io_time,
             steps_since_checkpoint: self.steps_since_checkpoint,
             last_checkpoint_at: self.last_checkpoint_at,
+            next_write: SimDuration::from_secs_f64(
+                self.checkpoint_bytes / fs.effective_total_bandwidth(self.now),
+            ),
         };
         if self.policy.should_checkpoint(&ctx) {
             let io = fs.write_duration(self.now, self.checkpoint_bytes, self.writers);
