@@ -105,13 +105,6 @@ impl Pipeline {
             .1
     }
 
-    /// Punctuates every stage, front to back.
-    pub fn punctuate_all(&self) {
-        for (name, handle) in &self.stages {
-            handle.punctuate(Some(name));
-        }
-    }
-
     /// Shuts the pipeline down front-to-back, draining each stage before
     /// the next, and returns per-stage statistics in order.
     pub fn shutdown(self) -> Vec<(String, SchedulerStats)> {

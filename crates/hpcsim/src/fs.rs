@@ -288,12 +288,6 @@ impl SharedFs {
         (self.base_bandwidth_bps * (1.0 - load)).max(self.base_bandwidth_bps * 0.01)
     }
 
-    /// Per-writer slice of [`SharedFs::effective_total_bandwidth`] when
-    /// `writers` ranks write concurrently.
-    pub fn effective_bandwidth(&mut self, now: SimTime, writers: u32) -> f64 {
-        self.effective_total_bandwidth(now) / writers.max(1) as f64
-    }
-
     /// Time to write `bytes` starting at `now` with `writers` concurrent
     /// writer groups sharing the job's slice of bandwidth.
     ///

@@ -1,4 +1,4 @@
-//! Deterministic discrete-event HPC cluster simulator.
+//! Deterministic, allocation-stepped HPC cluster simulator.
 //!
 //! The paper's experiments ran on Oak Ridge machines (Summit: 128 nodes /
 //! 4096 MPI ranks writing to a shared parallel filesystem; a 20-node
@@ -6,10 +6,15 @@
 //! substrate: it models exactly the aspects of those machines that the
 //! paper's claims depend on —
 //!
-//! * a **virtual clock** and event engine ([`engine`]) so campaign-scale
-//!   runs (2-hour × 20-node allocations) execute in microseconds,
-//! * **nodes and allocations** ([`cluster`], [`batch`]) so schedulers can
-//!   be compared on idle-node accounting,
+//! * an **integer virtual clock** ([`time`]) so campaign-scale runs
+//!   (2-hour × 20-node allocations) execute in microseconds,
+//! * **allocations** ([`batch`]): a campaign advances one granted
+//!   allocation at a time, with stochastic queue waits between
+//!   resubmissions, and the schedulers place runs on each allocation's
+//!   nodes ([`cluster`]) so they can be compared on idle-node accounting,
+//! * a **machine-level batch queue** ([`machine`]): FCFS and EASY
+//!   backfill over a job mix, for the queue waits the allocation model
+//!   is calibrated against,
 //! * a **shared-bandwidth filesystem** with stochastic background load
 //!   ([`fs`]) so overhead-driven checkpoint policies see the same
 //!   fluctuating I/O cost signal they saw on GPFS,
@@ -27,7 +32,6 @@
 pub mod batch;
 pub mod cluster;
 pub mod dist;
-pub mod engine;
 pub mod failure;
 pub mod fs;
 pub mod machine;
@@ -38,7 +42,6 @@ pub mod trace;
 
 pub use batch::{Allocation, AllocationSeries, BatchJob, BatchQueue};
 pub use cluster::{ClusterSpec, NodeId};
-pub use engine::{EventHandler, Simulation};
 pub use failure::{CrashPlan, FailureModel, NodeCrash, NodeFaultInjector};
 pub use fs::{FsLoad, SharedFs, StallSchedule, StallWindow};
 pub use machine::{simulate_queue, JobOutcome, JobRequest, QueuePolicy};

@@ -1,68 +1,12 @@
-//! Property tests: event engine ordering, time arithmetic, traces,
-//! allocation series.
+//! Property tests: time arithmetic, traces, allocation series.
 
 use hpcsim::batch::{AllocationSeries, BatchJob};
-use hpcsim::engine::{EventHandler, Simulation};
 use hpcsim::time::{SimDuration, SimTime};
 use hpcsim::trace::TimeSeries;
 use proptest::prelude::*;
 
-struct Collector {
-    seen: Vec<(SimTime, u32)>,
-}
-
-impl EventHandler for Collector {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, ev: u32, _sim: &mut Simulation<u32>) {
-        self.seen.push((now, ev));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn events_always_delivered_in_time_then_insertion_order(
-        times in proptest::collection::vec(0u64..10_000, 1..60)
-    ) {
-        let mut sim = Simulation::new();
-        let mut world = Collector { seen: Vec::new() };
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime(t), i as u32);
-        }
-        sim.run_to_completion(&mut world);
-        prop_assert_eq!(world.seen.len(), times.len());
-        // non-decreasing times; ties keep insertion order
-        for w in world.seen.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
-    }
-
-    #[test]
-    fn run_until_is_a_prefix_of_run_to_completion(
-        times in proptest::collection::vec(0u64..10_000, 1..60),
-        deadline in 0u64..10_000,
-    ) {
-        let schedule = |sim: &mut Simulation<u32>| {
-            for (i, &t) in times.iter().enumerate() {
-                sim.schedule_at(SimTime(t), i as u32);
-            }
-        };
-        let mut full_sim = Simulation::new();
-        let mut full = Collector { seen: Vec::new() };
-        schedule(&mut full_sim);
-        full_sim.run_to_completion(&mut full);
-
-        let mut part_sim = Simulation::new();
-        let mut part = Collector { seen: Vec::new() };
-        schedule(&mut part_sim);
-        part_sim.run_until(&mut part, SimTime(deadline));
-        prop_assert_eq!(&full.seen[..part.seen.len()], &part.seen[..]);
-        prop_assert!(part.seen.iter().all(|&(t, _)| t <= SimTime(deadline)));
-    }
 
     #[test]
     fn duration_arithmetic_consistent(a in 0u64..1_000_000, b in 0u64..1_000_000) {

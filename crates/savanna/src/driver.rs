@@ -1001,56 +1001,6 @@ pub(crate) fn run_campaign_sim_observed(
     })
 }
 
-/// Per-group campaign execution: every sweep group runs under its **own**
-/// allocation series sized from the group's declared envelope
-/// (`nodes × walltime_secs`) — the full SweepGroup semantics of §V-D,
-/// where groups with different resource shapes coexist in one campaign.
-///
-/// Returns `(group name, report)` pairs in manifest order. Queue seeds
-/// are derived per group so the series are independent but reproducible.
-/// The entry checks of a serial [`Driver::sim`] campaign (a missing
-/// duration, a repeated run id) run once over the whole manifest, before
-/// any group's first allocation.
-#[allow(clippy::too_many_arguments)] // the serial loop's inputs with the per-group queue knobs
-pub fn run_campaign_groups_sim(
-    manifest: &CampaignManifest,
-    durations: &BTreeMap<String, SimDuration>,
-    scheduler: &dyn AllocationScheduler,
-    mean_queue_wait: SimDuration,
-    queue_cv: f64,
-    seed: u64,
-    board: &mut StatusBoard,
-    max_allocations_per_group: u32,
-) -> Result<Vec<(String, CampaignSimReport)>, SavannaError> {
-    use hpcsim::batch::BatchJob;
-    let rows = resolve_runs(manifest, durations, board, |status, _| status.needs_rerun())?;
-    let mut reports = Vec::with_capacity(manifest.groups.len());
-    let mut start = 0;
-    for (gi, group) in manifest.groups.iter().enumerate() {
-        // only this group's rows, so the shared board's other groups are
-        // untouched by this series
-        let group_rows = &rows[start..start + group.runs.len()];
-        start += group.runs.len();
-        let mut series = AllocationSeries::new(
-            BatchJob::new(group.nodes, SimDuration::from_secs(group.walltime_secs)),
-            mean_queue_wait,
-            queue_cv,
-            seed.wrapping_add(gi as u64),
-        );
-        let report = run_campaign_sim_observed(
-            group_rows,
-            scheduler,
-            &mut series,
-            board,
-            max_allocations_per_group,
-            &Telemetry::disabled(),
-            &mut |_, _| Ok(()),
-        )?;
-        reports.push((group.name.clone(), report));
-    }
-    Ok(reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1230,73 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_groups_each_get_their_own_envelope() {
-        use cheetah::param::SweepSpec;
-        // group "small": 2 nodes × 30 min; group "big": 8 nodes × 2 h
-        let m = Campaign::new("hetero", "inst", AppDef::new("a", "a.exe"))
-            .with_group(SweepGroup::new(
-                "small",
-                Sweep::new().with(
-                    "i",
-                    SweepSpec::IntRange {
-                        start: 0,
-                        end: 5,
-                        step: 1,
-                    },
-                ),
-                2,
-                1,
-                1800,
-            ))
-            .with_group(SweepGroup::new(
-                "big",
-                Sweep::new().with(
-                    "j",
-                    SweepSpec::IntRange {
-                        start: 0,
-                        end: 19,
-                        step: 1,
-                    },
-                ),
-                8,
-                1,
-                7200,
-            ))
-            .manifest()
-            .unwrap();
-        let durations: BTreeMap<String, SimDuration> = m
-            .groups
-            .iter()
-            .flat_map(|g| g.runs.iter())
-            .map(|r| (r.id.clone(), SimDuration::from_mins(10)))
-            .collect();
-        let mut board = StatusBoard::for_manifest(&m);
-        let reports = run_campaign_groups_sim(
-            &m,
-            &durations,
-            &PilotScheduler::new(),
-            SimDuration::from_mins(10),
-            0.3,
-            7,
-            &mut board,
-            50,
-        )
-        .expect("durations modeled");
-        assert_eq!(reports.len(), 2);
-        assert!(board.summary().is_complete());
-        let (small_name, small) = &reports[0];
-        let (big_name, big) = &reports[1];
-        assert_eq!(small_name, "small");
-        assert_eq!(big_name, "big");
-        assert_eq!(small.completed_runs, 6);
-        assert_eq!(big.completed_runs, 20);
-        // small group: 6 × 10 min on 2 nodes = 30 min of work per node —
-        // exactly one 30-min allocation can hold it
-        assert_eq!(small.allocations.len(), 1);
-        assert_eq!(big.allocations.len(), 1, "20 × 10 min on 8 nodes fits 2 h");
-    }
-
-    #[test]
     fn early_release_shortens_the_series() {
         let m = campaign(2);
         let durations = uniform_durations(&m, 60);
@@ -1444,20 +1327,6 @@ mod tests {
 
         let mut board = StatusBoard::for_manifest(&m);
         let before = board.clone();
-        let err = run_campaign_groups_sim(
-            &m,
-            &durations,
-            &pilot,
-            SimDuration::from_mins(10),
-            0.3,
-            7,
-            &mut board,
-            50,
-        )
-        .unwrap_err();
-        assert!(is_twin(&err), "{err:?}");
-        assert_eq!(board, before, "groups: board untouched");
-
         let mut s = series();
         let start = s.now();
         let err = run_campaign_sim_with_faults(
@@ -1474,47 +1343,6 @@ mod tests {
         assert!(is_twin(&err), "{err:?}");
         assert_eq!(board, before, "faults: board untouched");
         assert_eq!(s.now(), start, "faults: no allocation consumed");
-    }
-
-    #[test]
-    fn groups_refuse_a_missing_duration_before_any_group_runs() {
-        let m = Campaign::new("two-groups", "inst", AppDef::new("a", "a.exe"))
-            .with_group(SweepGroup::new(
-                "first",
-                Sweep::new().with("i", SweepSpec::list([1i64, 2])),
-                2,
-                1,
-                3600,
-            ))
-            .with_group(SweepGroup::new(
-                "second",
-                Sweep::new().with("j", SweepSpec::list([1i64, 2])),
-                2,
-                1,
-                3600,
-            ))
-            .manifest()
-            .unwrap();
-        let mut durations = uniform_durations(&m, 600);
-        durations.remove("second/j-2");
-        let mut board = StatusBoard::for_manifest(&m);
-        let before = board.clone();
-        let err = run_campaign_groups_sim(
-            &m,
-            &durations,
-            &PilotScheduler::new(),
-            SimDuration::from_mins(10),
-            0.3,
-            7,
-            &mut board,
-            50,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, SavannaError::UnmodeledRun { ref run_id } if run_id == "second/j-2"),
-            "{err:?}"
-        );
-        assert_eq!(board, before, "the first group never ran");
     }
 
     #[test]

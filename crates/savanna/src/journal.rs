@@ -108,13 +108,6 @@ impl JournalSpec {
         self
     }
 
-    /// Installs a crash-injection point (builder-style).
-    #[must_use]
-    pub fn with_crash_point(mut self, crash: CrashPoint) -> Self {
-        self.crash = Some(crash);
-        self
-    }
-
     /// The sub-log path shard `index` of a sharded campaign appends to.
     pub fn shard_path(&self, index: usize) -> PathBuf {
         PathBuf::from(format!("{}.shard{index}", self.path.display()))

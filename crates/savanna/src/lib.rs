@@ -68,8 +68,8 @@ pub use compat::{
     ParCampaignReport, ParResilientReport,
 };
 pub use driver::{
-    run_campaign_groups_sim, AllocationRecord, CampaignReport, CampaignSimReport, Driver,
-    PreflightBlocked, PreflightGate, ShardReport,
+    AllocationRecord, CampaignReport, CampaignSimReport, Driver, PreflightBlocked, PreflightGate,
+    ShardReport,
 };
 pub use error::SavannaError;
 pub use faults::{run_campaign_sim_with_faults, FailureHandling, FaultSpec, FaultyCampaignReport};

@@ -73,11 +73,6 @@ impl GeneratedFileSet {
         self.files.iter().find(|f| f.path == path.as_ref())
     }
 
-    /// Total generated bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.files.iter().map(|f| f.contents.len()).sum()
-    }
-
     /// Writes the set under `dir`, creating directories as needed, plus a
     /// `skel-manifest.json` recording what was generated from which model.
     /// Returns the paths written (manifest last).

@@ -137,13 +137,6 @@ impl GenotypeData {
             })
             .collect()
     }
-
-    /// The phenotype as a one-column table.
-    pub fn phenotype_table(&self) -> Table {
-        let mut t = Table::new();
-        t.push_column("phenotype", Column::Float(self.phenotype.clone()));
-        t
-    }
 }
 
 fn hpcsim_free_normal(rng: &mut SplitMix64) -> f64 {

@@ -30,8 +30,8 @@
 //! Producers in this workspace: `savanna`'s simulated drivers (per-attempt
 //! spans with failure causes, backoff waits, rework counters), its
 //! `LocalExecutor` (wall-clock attempt spans, pool statistics), and
-//! `hpcsim`'s engine/fault models (event counts, stall windows, crash
-//! instants).
+//! `hpcsim`'s queue, filesystem and fault models (job outcomes, stall
+//! windows, crash instants).
 
 #![deny(missing_docs)]
 
@@ -118,14 +118,6 @@ impl Telemetry {
             },
             recorder,
         )
-    }
-
-    /// An enabled handle backed by a caller-provided sink.
-    pub fn with_sink(sink: Arc<dyn Sink>) -> Self {
-        Self {
-            sink: Some(sink),
-            recorder: None,
-        }
     }
 
     /// The [`Recorder`] behind this handle, when it was created by

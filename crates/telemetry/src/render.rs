@@ -18,8 +18,6 @@
 //! nothing, so for any renderer written against [`Theme::paint`],
 //! `Text` output is byte-identical to the pre-theme rendering.
 
-use std::collections::BTreeMap;
-
 use std::fmt::Write as _;
 
 use crate::stream::LiveModel;
@@ -410,16 +408,6 @@ pub fn render_live(model: &LiveModel, theme: &Theme) -> String {
         out.push_str("  ");
         theme.paint(theme.warn, name, &mut out);
         let _ = writeln!(out, ": {} vs p50 {}", fmt_us(*dur_us), fmt_us(p50));
-    }
-    out
-}
-
-/// Renders only the counters of a model as `name value` lines — a
-/// machine-greppable variant some tools want alongside the page.
-pub fn render_counters(counters: &BTreeMap<String, f64>) -> String {
-    let mut out = String::new();
-    for (name, value) in counters {
-        let _ = writeln!(out, "{name} {}", fmt_f64(*value));
     }
     out
 }

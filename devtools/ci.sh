@@ -174,21 +174,13 @@ cargo test -q -p cheetah --lib -- status:: journal:: cas:: differential::
 cargo test -q -p provenance
 echo "crash durability: OK"
 
-# Perf-smoke gate, two layers (EXPERIMENTS.md "Event-core rebuild"):
-# (a) event_core --smoke: run the calendar-queue event core and the
-#     reference BinaryHeap engine through identical churn programs and
-#     fail on any divergence in handled count, order-sensitive
-#     checksum, or final clock (the cheap always-on complement to the
-#     property differential in crates/hpcsim/tests/);
-# (b) campaign_parallel --check: the committed
-#     results/BENCH_campaign_parallel.json keeps its metric key set AND
-#     every par_t{N}.speedup_vs_inline stays >= 0.95 — the invariant
-#     that the shard handoff never again costs the parallel path more
-#     than 5% against inline sharding (event_core --check guards the
-#     same key-set invariant for BENCH_event_core.json).
+# Perf-smoke gate (EXPERIMENTS.md "Event-core rebuild and the
+# parallel-handoff fix"): campaign_parallel --check keeps the committed
+# results/BENCH_campaign_parallel.json's metric key set AND every
+# par_t{N}.speedup_vs_inline >= 0.95 — the invariant that the shard
+# handoff never again costs the parallel path more than 5% against
+# inline sharding.
 echo "== ci: perf smoke =="
-run_bin bench event_core --smoke
-run_bin bench event_core --check "$REPO/results"
 run_bin bench campaign_parallel --check "$REPO/results"
 echo "perf smoke: OK"
 

@@ -12,7 +12,7 @@
 //! * [`skel`] — model-driven code generation.
 //! * [`cheetah`] — campaign composition (sweeps, sweep groups, manifests).
 //! * [`savanna`] — campaign execution (pilot manager, executors).
-//! * [`hpcsim`] — discrete-event HPC cluster simulator substrate.
+//! * [`hpcsim`] — allocation-stepped HPC cluster simulator substrate.
 //! * [`checkpoint`] — checkpoint-restart policies + Gray-Scott mini-app.
 //! * [`dataflow`] — pub/sub virtual data queues with runtime policies.
 //! * [`iorf`] — iterative random forests and iRF-LOOP.
