@@ -7,8 +7,9 @@
 #                                                lint policy (unwrap_used,
 #                                                dbg_macro, missing_docs)
 #   3. cargo fmt --check                       — formatting is canonical
-#   4. the crates' own suites, property tests included
-#   5. the gates below, each over the binaries and tests it names
+#   4. no `pub fn` that nothing names
+#   5. the crates' own suites, property tests included
+#   6. the gates below, each over the binaries and tests it names
 #
 # The workspace depends on no registry crate, so every step runs
 # offline. UPDATE_FIXTURES=1 regenerates every golden in place instead
@@ -28,6 +29,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== ci: cargo fmt --check =="
 cargo fmt --check
 
+# Unused-surface gate: every `pub fn` in crates/*/src and src/ must be
+# named on some .rs line besides a definition; a caller, a test or a doc
+# link each counts. A listed name is public surface that nothing runs:
+# delete it, or use it.
+echo "== ci: unused public functions =="
+DEFINED=$(git grep --untracked -h -o -E '\bpub (const |async |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' \
+    -- 'crates/*/src/*.rs' 'src/*.rs' | awk '{print $NF}' | sort -u)
+NAMED=$(git grep --untracked -h -I -e '' -- '*.rs' ':!devtools/stubs' |
+    sed -E 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' | grep -o -E '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+UNUSED=$(comm -23 <(echo "$DEFINED") <(echo "$NAMED"))
+[ -z "$UNUSED" ] || { echo "unused public functions:"; echo "$UNUSED"; exit 1; }
+echo "unused public functions: OK"
+
 echo "== ci: crate suites =="
 cargo test -q --workspace --exclude fair-workflows
 
@@ -38,28 +52,72 @@ run_bin() {
     cargo run -q --release -p "$package" --bin "$bin" -- "$@"
 }
 
-# Fault-injection gate, two layers (DESIGN.md §6a):
-# (a) resilience_ablation: drive a seeded campaign through node crashes,
-#     run errors, and checkpoint-aware restart, asserting the rework
-#     advantage;
-# (b) the resilient driver's suites: the property and determinism tests
-#     (tests/resilience.rs, tests/parallel_determinism.rs), the campaign
-#     goldens (tests/golden_fixtures.rs, tests/checkpoint_restart.rs), the
-#     allocation-loop golden (tests/resilient_loop_golden.rs), the
-#     resubmission golden of a round-robin plan on a non-fresh board
-#     (tests/resubmission_golden.rs), the layer-transparency
-#     differential over every backend and execution
-#     (tests/driver_layers.rs), and the savanna unit suite, which holds
-#     the differential of the dense node-set scheduler against its
-#     BTreeSet reference and the driver, shard, memo and faults unit
-#     tests (entry checks, run table, refusals).
+# Fault-injection gate (DESIGN.md §6a): the resilient driver's suites
+# — the property and determinism tests (tests/resilience.rs,
+# tests/parallel_determinism.rs), the campaign goldens
+# (tests/golden_fixtures.rs, tests/checkpoint_restart.rs), the
+# allocation-loop golden (tests/resilient_loop_golden.rs), the
+# resubmission golden of a round-robin plan on a non-fresh board
+# (tests/resubmission_golden.rs), the layer-transparency differential
+# over every backend and execution (tests/driver_layers.rs), and the
+# savanna unit suite, which holds the differential of the dense node-set
+# scheduler against its BTreeSet reference and the driver, shard, memo
+# and faults unit tests (entry checks, run table, refusals). The seeded
+# restart-strategy campaign, resilience_ablation, runs in the figures
+# gate below, which asserts its rework advantage and compares its output.
 echo "== ci: fault-injection smoke =="
-run_bin bench resilience_ablation
 cargo test -q --test resilience --test parallel_determinism --test golden_fixtures \
     --test checkpoint_restart --test resilient_loop_golden --test resubmission_golden \
     --test driver_layers
 cargo test -q -p savanna --lib
 echo "fault injection: OK"
+
+# Figures gate (README "Reproducing the paper's figures"): run the ten
+# figure binaries from a scratch working directory, each asserting the
+# paper's shape, and compare their stdout and every CSV they write with
+# results/. Only wall-clock fields are masked: fig5's item rates and
+# marshalling time and rate, irf_validation's timings, and ablations'
+# paste-fanout times and pool-speedup rows (the last of which is labelled
+# with the host's core count). In those three files, runs of spaces and
+# table rules are collapsed too, since the tables pad to the widest
+# (wall-clock) cell. UPDATE_FIXTURES=1 rewrites results/ instead.
+echo "== ci: figures =="
+FIG_DIR="$REPO/target/figures"
+rm -rf "$FIG_DIR" && mkdir -p "$FIG_DIR/results"
+for fig in fig1_gauge_matrix fig2_interventions fig3_overhead_sweep fig4_run_variation \
+    fig5_policy_throughput fig6_utilization fig7_features_explored irf_validation \
+    ablations resilience_ablation; do
+    (cd "$FIG_DIR" && run_bin bench "$fig") >"$FIG_DIR/results/$fig.txt" ||
+        { echo "figures: $fig failed"; exit 1; }
+done
+# Prints results file $1 (named as in results/) with its wall-clock fields masked.
+mask_wall_clock() {
+    local dur='[0-9.]+(ns|µs|ms|s)' squeeze='s/ +/ /g; s/^-+$/-/'
+    case "$(basename "$1")" in
+    fig5_policy_throughput.txt)
+        sed -E -e 's/\([0-9.]+ M items\/s/(<rate> M items\/s/' \
+            -e "s/in $dur \\([0-9.]+ MB\\/s\\)/in <time> (<rate> MB\\/s)/" -e "$squeeze" "$1" ;;
+    irf_validation.txt)
+        sed -E -e "s/\\($dur\\)\$/(<time>)/" -e "$squeeze" "$1" ;;
+    ablations.txt)
+        sed -E -e "s/^(single paste|staged, fanout)(.*) $dur\$/\\1\\2 <time>/" \
+            -e 's/^[0-9]+ threads +[0-9.]+ s +speedup [0-9.]+×$/<pool timing row>/' \
+            -e "$squeeze" "$1" ;;
+    *) cat "$1" ;;
+    esac
+}
+for out in "$FIG_DIR"/results/*; do
+    committed="$REPO/results/$(basename "$out")"
+    if [ "${UPDATE_FIXTURES:-0}" = 1 ]; then
+        cp "$out" "$committed"
+        echo "updated $(basename "$committed")"
+    elif ! cmp -s <(mask_wall_clock "$committed") <(mask_wall_clock "$out"); then
+        echo "figures: $(basename "$out") diverged from results/ (UPDATE_FIXTURES=1 to regen):"
+        diff <(mask_wall_clock "$committed") <(mask_wall_clock "$out") || true
+        exit 1
+    fi
+done
+echo "figures: OK"
 
 # Telemetry smoke: regenerate the three seeded baseline scenarios and
 # verify (a) two in-memory generations are byte-identical, (b) the
