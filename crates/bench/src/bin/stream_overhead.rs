@@ -272,7 +272,7 @@ fn smoke(out: &str) {
         backoff_base: SimDuration::from_mins(10),
         ..ResiliencePolicy::default()
     };
-    // hash-based run errors only: deterministic across rand builds
+    // hash-based run errors only: no sampled crash or stall streams
     let faults = FaultPlan {
         run_faults: FaultSpec::new(0.35, 23),
         node_mttf: None,

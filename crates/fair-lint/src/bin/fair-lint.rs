@@ -28,8 +28,9 @@
 //!   booleans, `snapshot_every` epochs between compaction snapshots,
 //!   and `journal_paths` (one per shard) — checked by `FW207`.
 //! * `memo` — the memoization setup: `store`, `seeds_pinned`,
-//!   `environment_pinned`, `rand_queue_draws`, `rand_fault_streams`,
-//!   and `acknowledged` booleans — checked by `FW208`.
+//!   `environment_pinned`, `rand_queue_draws` and `rand_fault_streams`
+//!   (queue waits and fault streams sampled at execution time), and
+//!   `acknowledged` booleans — checked by `FW208`.
 //!
 //! With a `manifest` the full [`preflight_campaign`] pass runs;
 //! otherwise each supplied layer is linted on its own. `--strict` denies
@@ -515,7 +516,8 @@ fn parse_durability(v: &Value) -> Result<DurabilityPlan, String> {
 
 /// The memoization setup: all-boolean knobs mirroring [`MemoPlan`].
 /// `store` says whether a content-addressed store path is configured;
-/// `acknowledged` opts into caching despite rand-dependent inputs.
+/// `acknowledged` opts into caching despite sampled inputs, which the
+/// cache key does not pin (`rand_queue_draws`, `rand_fault_streams`).
 fn parse_memo(v: &Value) -> Result<MemoPlan, String> {
     let flag = |key: &str| -> Result<bool, String> {
         match v.get(key) {

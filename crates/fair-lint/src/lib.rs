@@ -82,7 +82,7 @@ pub struct PreflightContext<'a> {
     /// paths (FW207). A reference (like `schedule`) so the context stays
     /// `Copy`.
     pub durability: Option<&'a DurabilityPlan>,
-    /// The memoization setup: store, key pinning, rand-dependent inputs
+    /// The memoization setup: store, key pinning, sampled inputs
     /// (FW208).
     pub memo: Option<MemoPlan>,
 }

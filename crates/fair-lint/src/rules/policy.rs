@@ -240,7 +240,7 @@ pub fn lint_durability_plan(plan: &DurabilityPlan, config: &LintConfig) -> Diagn
 /// The memoization knobs a campaign declares, as far as the linter needs
 /// them: whether a content-addressed store is configured, whether seeds
 /// and the environment are pinned into the cache key, and which inputs
-/// draw from the `rand` crate at execution time. Execution engines
+/// are sampled at execution time. Execution engines
 /// (e.g. `savanna`'s `*_memo` drivers) project their `MemoConfig` down
 /// to this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,14 +252,16 @@ pub struct MemoPlan {
     /// Whether environment pins (toolkit version, schema ids) are part
     /// of the cache key.
     pub environment_pinned: bool,
-    /// Whether allocation queue waits are drawn from the `rand` crate
-    /// (a nonzero mean queue wait).
+    /// Whether allocation queue waits are sampled at execution time (a
+    /// nonzero mean queue wait).
     pub rand_queue_draws: bool,
-    /// Whether node-crash or stall streams are drawn from the `rand`
-    /// crate (a node MTTF or stall model is declared).
+    /// Whether node-crash or stall streams are sampled at execution time
+    /// (a node MTTF or stall model is declared).
     pub rand_fault_streams: bool,
-    /// Whether the caller explicitly acknowledged that `rand`-dependent
-    /// inputs make cached results valid only within one `rand` build.
+    /// Whether the caller explicitly acknowledged that sampled inputs
+    /// make cached results valid only while the sampler code is
+    /// unchanged: the cache key pins the toolkit version, not the
+    /// samplers.
     pub nondeterminism_acknowledged: bool,
 }
 
@@ -270,10 +272,11 @@ pub struct MemoPlan {
 /// wrong answers, all statically visible: an unpinned seed derivation
 /// (two campaigns with different seeds would share cache entries), an
 /// unpinned environment (a key survives schema or toolkit changes that
-/// alter the output), and unacknowledged `rand`-dependent inputs (queue
-/// waits, node crashes, stall windows draw from the `rand` crate, whose
-/// stream is stable within a build but not across `rand` versions — a
-/// persistent cache can outlive the build that filled it).
+/// alter the output), and unacknowledged sampled inputs (queue waits,
+/// node crashes and stall windows come from the seeded generator
+/// `hpcsim::seed::SplitMix64`, whose stream changes only with the
+/// repository's code — but the key pins the toolkit version, not that
+/// code, so a persistent cache can outlive a change to the draws).
 pub fn lint_memo_plan(plan: &MemoPlan, config: &LintConfig) -> DiagnosticSet {
     let mut set = DiagnosticSet::new();
     if !plan.store_configured {
@@ -318,10 +321,10 @@ pub fn lint_memo_plan(plan: &MemoPlan, config: &LintConfig) -> DiagnosticSet {
             MEMOIZATION_UNSAFE,
             Severity::Error,
             format!(
-                "campaign inputs include rand-dependent {source}, which are stable \
-                 within one rand build but not across rand versions — a persistent \
-                 cache can outlive the build that filled it; acknowledge explicitly \
-                 to memoize anyway"
+                "campaign inputs include sampled {source}, which the cache key does \
+                 not pin: it names the toolkit version, not the sampler code — a \
+                 persistent cache can outlive a change to the draws; acknowledge \
+                 explicitly to memoize anyway"
             ),
             Location::none(),
         );

@@ -782,7 +782,7 @@ fn fw208_unpinned_key_inputs_fire() {
 
 #[test]
 fn fw208_rand_inputs_need_acknowledgement() {
-    // unacknowledged rand-dependent inputs fire, naming the source
+    // unacknowledged sampled inputs fire, naming the source
     let plan = MemoPlan {
         rand_queue_draws: true,
         rand_fault_streams: true,

@@ -50,7 +50,7 @@
 //!
 //! Safety is gated statically: `fair-lint`'s `FW208` rule refuses
 //! memoization when the key would be unsound (see [`memo_lint_plan`]),
-//! e.g. `rand`-dependent queue waits or fault streams without an explicit
+//! e.g. sampled queue waits or fault streams without an explicit
 //! [`MemoConfig::acknowledge_rand_nondeterminism`] opt-in.
 
 use std::path::PathBuf;
@@ -84,10 +84,11 @@ pub const MEMO_PAYLOAD_SCHEMA: &str = "fair-memo/1";
 pub struct MemoConfig {
     /// Path of the content-addressed store file.
     pub store_path: PathBuf,
-    /// Whether the caller acknowledges that `rand`-dependent inputs
-    /// (queue waits, node-crash/stall streams) pin cached results to the
-    /// `rand` build that produced them. Without this, `FW208` refuses
-    /// such campaigns at preflight.
+    /// Whether the caller acknowledges that sampled inputs (queue waits,
+    /// node-crash/stall streams) tie cached results to the sampler code
+    /// that drew them: the key pins the toolkit version, not
+    /// `hpcsim::seed::SplitMix64` and the samplers over it. Without this,
+    /// `FW208` refuses such campaigns at preflight.
     pub allow_rand_nondeterminism: bool,
 }
 
@@ -100,8 +101,8 @@ impl MemoConfig {
         }
     }
 
-    /// Opts into caching `rand`-dependent inputs (builder-style). The
-    /// cache then remains valid only within one `rand` build — see
+    /// Opts into caching sampled inputs (builder-style). The cache then
+    /// remains valid only while the samplers are unchanged — see
     /// `FW208`'s message for why the opt-in is explicit.
     #[must_use]
     pub fn acknowledge_rand_nondeterminism(mut self) -> Self {

@@ -55,7 +55,7 @@ fn faulty_policy() -> ResiliencePolicy {
     }
 }
 
-/// Hash-based run errors only: deterministic across rand builds.
+/// Hash-based run errors only: no sampled crash or stall streams.
 fn faulty_plan() -> FaultPlan {
     FaultPlan {
         run_faults: FaultSpec::new(0.35, 23),
