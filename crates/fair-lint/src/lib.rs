@@ -14,7 +14,7 @@
 //! | `FW000` | [`config`] | configuration overrides naming unknown rule codes |
 //! | `FW001`–`FW007` | [`rules::graph`] | cycles, dangling/duplicate edges, schema mismatches, unwired ports, isolated nodes, motif near-misses |
 //! | `FW101`–`FW104` | [`rules::campaign`] | dead parameters, empty/explosive sweeps, oversubscribed resource envelopes, unmodeled runs |
-//! | `FW201`–`FW203`, `FW207`–`FW208` | [`rules::policy`] | infeasible and suboptimal checkpoint plans (vs Young/Daly), zero-retry policies under injected faults, durability misconfiguration (journaling off under faults, degenerate snapshot intervals, shard journal-path collisions), memoization-unsafe campaigns (unpinned seeds/environment, unacknowledged rand-dependent inputs) |
+//! | `FW201`–`FW203`, `FW207`–`FW208` | [`rules::policy`] | infeasible and suboptimal checkpoint plans (vs Young/Daly), zero-retry policies under injected faults, durability misconfiguration (journaling off under faults, degenerate snapshot intervals, shard journal-path collisions), memoization-unsafe campaigns (unpinned seeds/environment, unacknowledged sampled inputs) |
 //! | `FW301`–`FW302` | [`rules::gauge`] | components below a declared minimum profile, catalog regressions |
 //! | `FW401`–`FW408` | [`rules::dataflow`] | fixpoint reaching-definitions/liveness over ports: dead outputs, undefined inputs, write-write conflicts, unused sources, unobservable sweep axes, incomplete provenance, unpinned config |
 //! | `FW501`–`FW506` | [`rules::schedule`] | shard-plan determinism: gaps/overlaps in run coverage, telemetry lane collisions, seed-stream collisions, merge-order sensitivity, retry starvation |

@@ -213,7 +213,7 @@ impl ShardPlan {
 /// one needs one series *per shard*, each with its own derived seed, so
 /// it takes the recipe instead. A zero `mean_queue_wait` builds
 /// [`AllocationSeries::instant`] — no RNG draws at all, which keeps
-/// golden-fixture expectations independent of the `rand` build.
+/// golden-fixture expectations independent of the generator's stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesSpec {
     /// The allocation request each shard repeatedly submits.

@@ -264,7 +264,7 @@ impl DigestSet {
 /// Renders a digest set as a `fair-telemetry-digest/1` JSON document
 /// (trailing newline included). Keys sorted, buckets sparse; every
 /// number is an integer except the schema-level error bound, so the
-/// bytes are identical across serializers and rand implementations.
+/// bytes are identical across serializers.
 pub fn digest_json(set: &DigestSet) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"fair-telemetry-digest/1\",\n");

@@ -396,8 +396,8 @@ fn compare_one(key: &str, old: f64, new: f64, threshold: f64) -> CompareLine {
 /// Diffs two metrics documents. Every key present in both documents is
 /// compared; a relative change beyond `threshold` (e.g. `0.2` = 20 %)
 /// is a breach. Keys on one side only are reported as drift, not
-/// breaches, so baselines regenerated under a different `rand`
-/// implementation fail only on real regressions.
+/// breaches, so baselines regenerated after a change to the seeded
+/// draws fail only on real regressions.
 pub fn compare_metrics(old: &MetricsDoc, new: &MetricsDoc, threshold: f64) -> CompareReport {
     let mut report = CompareReport {
         threshold,

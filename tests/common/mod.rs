@@ -83,7 +83,8 @@ pub enum Fixture {
     /// Plain sharded sweep, no faults: 12 runs over 3 shards.
     Sweep,
     /// Hash-based injected run errors with a retry budget: 10 runs over
-    /// 2 shards (no node/stall streams — those draw from `rand`).
+    /// 2 shards (no node/stall streams — those draw from the seeded
+    /// generator).
     Faulty,
     /// Runs longer than the allocation walltime, resumed from periodic
     /// checkpoints across allocations: 4 runs over 2 shards.

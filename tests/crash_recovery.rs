@@ -62,7 +62,7 @@ fn jpath(tag: &str) -> PathBuf {
 
 fn spec() -> SeriesSpec {
     // stochastic queue waits on purpose: interrupted and uninterrupted
-    // executions run in the same build, so rand-derived values must match
+    // executions run in the same build, so generator draws must match
     SeriesSpec::new(
         BatchJob::new(8, SimDuration::from_hours(2)),
         SimDuration::from_mins(20),

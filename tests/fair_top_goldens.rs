@@ -39,7 +39,7 @@ fn updating() -> bool {
 
 /// The `stream_overhead --smoke` campaign: 8 retried runs, hash-based
 /// run faults only, instant allocation series — every source of
-/// nondeterminism (rand backends, thread interleaving) excluded, so
+/// nondeterminism (generator draws, thread interleaving) excluded, so
 /// the stream and its render are byte-stable everywhere.
 fn smoke_manifest() -> CampaignManifest {
     Campaign::new("observe-smoke", "inst", AppDef::new("irf", "irf.exe"))

@@ -248,9 +248,10 @@ fn a_poisoned_store_is_a_cache_miss_not_an_error() {
 
 #[test]
 fn stochastic_series_memoize_byte_identically_once_acknowledged() {
-    // queue-wait draws come from `rand`: memoizing them requires the
-    // explicit FW208 opt-in, after which the seeded streams are still
-    // deterministic within a build and the differential must hold
+    // queue-wait draws come from the seeded generator, which the memo key
+    // does not pin: memoizing them requires the explicit FW208 opt-in,
+    // after which the seeded streams are deterministic and the
+    // differential must hold
     let store = scratch_store("stochastic");
     let manifest = grid_manifest("stochastic-sweep", 6);
     let durations = ramp_durations(&manifest, 600, 300);

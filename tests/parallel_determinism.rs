@@ -45,7 +45,7 @@ struct Artifacts {
 
 fn spec() -> SeriesSpec {
     // stochastic queue waits on purpose: the differential compares two
-    // executions of the same build, so rand-derived values must match too
+    // executions of the same build, so generator draws must match too
     SeriesSpec::new(
         BatchJob::new(8, SimDuration::from_hours(2)),
         SimDuration::from_mins(20),

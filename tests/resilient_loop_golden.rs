@@ -1,6 +1,6 @@
 //! Golden for the resilient allocation loop: one serial, traced
-//! `Driver::resilient` campaign that walks every branch of
-//! the loop's fold that a `rand`-free campaign can reach, compared
+//! `Driver::resilient` campaign that walks every branch of the loop's
+//! fold that a campaign without generator draws can reach, compared
 //! byte-for-byte against three committed files under
 //! `tests/fixtures/resilient/`:
 //!
@@ -19,8 +19,8 @@
 //! checkpoint restart and a retry budget that some runs exhaust. Its
 //! starting board already holds a `Done` run, `Failed` runs within and
 //! past the budget and a `TimedOut` run, and an allocation cap leaves
-//! some runs never started. Node crashes draw from `rand`, whose stream
-//! differs between builds, so they are left to the loop's unit tests.
+//! some runs never started. Node crashes, drawn from the seeded
+//! generator, are left to the loop's unit tests.
 //!
 //! Regenerate after an intentional behaviour change with
 //! `UPDATE_FIXTURES=1 cargo test --test resilient_loop_golden`.

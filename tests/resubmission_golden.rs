@@ -21,9 +21,9 @@
 //!   loop, traced, with run errors, filesystem stalls, a hang timeout,
 //!   backoff and checkpoint restart.
 //!
-//! Everything is `rand`-free (instant allocation series, hash-drawn run
-//! errors and stalls, no node crashes), so the bytes hold in every
-//! build. Regenerate after an intentional behaviour change with
+//! Nothing draws from the seeded generator (instant allocation series,
+//! hash-drawn run errors and stalls, no node crashes), so the bytes
+//! hold in every build. Regenerate after an intentional behaviour change with
 //! `UPDATE_FIXTURES=1 cargo test --test resubmission_golden`.
 
 use std::collections::BTreeMap;
