@@ -8,13 +8,10 @@
 //!
 //! * an **integer virtual clock** ([`time`]) so campaign-scale runs
 //!   (2-hour × 20-node allocations) execute in microseconds,
-//! * **allocations** ([`batch`]): a campaign advances one granted
-//!   allocation at a time, with stochastic queue waits between
-//!   resubmissions, and the schedulers place runs on each allocation's
-//!   nodes ([`cluster`]) so they can be compared on idle-node accounting,
-//! * a **machine-level batch queue** ([`machine`]): FCFS and EASY
-//!   backfill over a job mix, for the queue waits the allocation model
-//!   is calibrated against,
+//! * **nodes and allocations** ([`cluster`], [`batch`]): a campaign
+//!   advances one granted allocation at a time, resubmitting after a
+//!   stochastic queue wait, so schedulers can be compared on idle-node
+//!   accounting,
 //! * a **shared-bandwidth filesystem** with stochastic background load
 //!   ([`fs`]) so overhead-driven checkpoint policies see the same
 //!   fluctuating I/O cost signal they saw on GPFS,
