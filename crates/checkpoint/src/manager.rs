@@ -4,9 +4,9 @@
 //! application reports the end of each timestep; the manager prices a
 //! write that would start now at the filesystem's current bandwidth,
 //! consults the policy and, when it fires, writes the checkpoint through
-//! the shared filesystem model, charging the observed write time to the run's I/O
-//! account — which in turn feeds back into the next decision. That
-//! feedback loop (slow filesystem → higher observed overhead → fewer
+//! the shared filesystem model, charging the observed write time to the
+//! run's I/O account — which in turn feeds back into the next decision.
+//! That feedback loop (slow filesystem → higher observed overhead → fewer
 //! checkpoints) is the mechanism behind Figs. 3 and 4.
 
 use hpcsim::fs::SharedFs;

@@ -240,9 +240,8 @@ pub fn lint_durability_plan(plan: &DurabilityPlan, config: &LintConfig) -> Diagn
 /// The memoization knobs a campaign declares, as far as the linter needs
 /// them: whether a content-addressed store is configured, whether seeds
 /// and the environment are pinned into the cache key, and which inputs
-/// are sampled at execution time. Execution engines
-/// (e.g. `savanna`'s `*_memo` drivers) project their `MemoConfig` down
-/// to this.
+/// are sampled at execution time. Execution engines (e.g. `savanna`'s
+/// `*_memo` drivers) project their `MemoConfig` down to this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoPlan {
     /// Whether a content-addressed store path is configured.
