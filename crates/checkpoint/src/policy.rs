@@ -115,9 +115,9 @@ impl CheckpointPolicy for WallClockGap {
 
 /// The paper's policy: checkpoint only while the I/O overhead, counting
 /// the write about to start, stays within `max_overhead` (parameter 2 of
-/// §V-B, used for Figs. 3–4). Deciding from the overhead already spent
-/// instead lets one slow write on a loaded filesystem overshoot a small
-/// budget, so a larger budget could write fewer checkpoints.
+/// §V-B, used for Figs. 3–4). Counting the write before making it keeps
+/// one slow write on a loaded filesystem from overshooting a small
+/// budget, which would then starve it while a larger budget wrote on.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadBudget {
     /// Maximum allowed `io / (compute + io)` fraction, in `(0, 1)`.

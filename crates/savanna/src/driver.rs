@@ -1322,9 +1322,6 @@ mod tests {
         let twin_id = twin.id.clone();
         m.groups[0].runs.insert(2, twin);
         let durations = uniform_durations(&m, 600);
-        let is_twin = |err: &SavannaError| matches!(err, SavannaError::DuplicateRun { run_id } if *run_id == twin_id);
-        let pilot = PilotScheduler::new();
-
         let mut board = StatusBoard::for_manifest(&m);
         let before = board.clone();
         let mut s = series();
@@ -1332,7 +1329,7 @@ mod tests {
         let err = run_campaign_sim_with_faults(
             &m,
             &durations,
-            &pilot,
+            &PilotScheduler::new(),
             &mut s,
             &mut board,
             50,
@@ -1340,7 +1337,10 @@ mod tests {
             FailureHandling::AutoRequeue,
         )
         .unwrap_err();
-        assert!(is_twin(&err), "{err:?}");
+        assert!(
+            matches!(err, SavannaError::DuplicateRun { ref run_id } if *run_id == twin_id),
+            "{err:?}"
+        );
         assert_eq!(board, before, "faults: board untouched");
         assert_eq!(s.now(), start, "faults: no allocation consumed");
     }
